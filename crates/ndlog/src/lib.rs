@@ -15,9 +15,10 @@
 //!   paper's "report" capture mode) and for stateful constraint predicates
 //!   ([`program::StatefulBuiltin`], e.g. OpenFlow priority resolution).
 //!
-//! The engine is intentionally synchronous and single-threaded: DiffProv's
+//! The engine is synchronous and single-threaded: it evaluates on the
+//! caller's thread over one node map and one tuple interner. DiffProv's
 //! replay-based provenance reconstruction requires bit-identical
-//! re-execution, so determinism takes precedence over parallelism.
+//! re-execution of one recorded log, which is sequential work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +35,8 @@ pub mod testsupport;
 
 pub use ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};
 pub use engine::{
-    join_profile_json, shard_loads_json, DerivRecord, Engine, EngineSnapshot, NodeState, NodeView,
-    RuleJoinProfile, Stats, TupleState,
+    join_profile_json, DerivRecord, Engine, EngineSnapshot, NodeState, NodeView, RuleJoinProfile,
+    Stats, TupleState,
 };
 pub use expr::{BinOp, Env, Expr, Func};
 pub use parser::{parse_expr, parse_rule, parse_rules};

@@ -20,16 +20,83 @@
 //! * literals: integers, `"strings"`, `true`/`false`, IPv4 addresses
 //!   (`1.2.3.4`) and prefixes (`4.3.2.0/24`);
 //! * `%` starts a line comment.
+//!
+//! Expressions nest at most 256 levels deep (`MAX_EXPR_DEPTH`), counting
+//! each operator, call, and parenthesis; deeper input is rejected with
+//! [`Error::Parse`]. Parsing, evaluation, display, and drop all recurse
+//! over the tree, so an unbounded depth would let a few kilobytes of
+//! hostile text overflow the stack.
 
 use dp_types::{Error, Prefix, Result, Sym, Value};
 
 use crate::ast::{AggFunc, AggSpec, Assign, BodyAtom, Constraint, HeadAtom, Pattern, Rule};
 use crate::expr::{BinOp, Expr, Func};
 
+/// Deepest expression the parser accepts (see the module docs).
+const MAX_EXPR_DEPTH: usize = 256;
+
+/// A parsed subexpression and the depth of its tree.
+type Parsed = (Expr, usize);
+
+fn too_deep() -> Error {
+    Error::Parse(format!(
+        "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+    ))
+}
+
+/// `expr` at `depth`, or the depth-limit error past [`MAX_EXPR_DEPTH`].
+fn leveled(expr: Expr, depth: usize) -> Result<Parsed> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    Ok((expr, depth))
+}
+
+/// `lhs op rhs`, one level deeper than its deeper operand.
+fn bin(op: BinOp, (lhs, dl): Parsed, (rhs, dr): Parsed) -> Result<Parsed> {
+    leveled(Expr::bin(op, lhs, rhs), dl.max(dr) + 1)
+}
+
+/// Binding strength of comparisons, the one non-associative level.
+const CMP: u8 = 3;
+
+/// The binary operator `tok` spells, with its binding strength.
+fn binop(tok: Option<&Tok>) -> Option<(BinOp, u8)> {
+    let Some(Tok::Punct(p)) = tok else {
+        return None;
+    };
+    Some(match *p {
+        "||" => (BinOp::Or, 1),
+        "&&" => (BinOp::And, 2),
+        "==" => (BinOp::Eq, CMP),
+        "!=" => (BinOp::Ne, CMP),
+        "<" => (BinOp::Lt, CMP),
+        "<=" => (BinOp::Le, CMP),
+        ">" => (BinOp::Gt, CMP),
+        ">=" => (BinOp::Ge, CMP),
+        "|" => (BinOp::BitOr, 4),
+        "^" => (BinOp::BitXor, 4),
+        "&" => (BinOp::BitAnd, 4),
+        "<<" => (BinOp::Shl, 5),
+        ">>" => (BinOp::Shr, 5),
+        "+" => (BinOp::Add, 6),
+        "-" => (BinOp::Sub, 6),
+        // `%` is the comment character; modulo is spelled `mod` via the
+        // `hmod`/`Mod` path or the `Bin` constructor in code.
+        "*" => (BinOp::Mul, 7),
+        "/" => (BinOp::Div, 7),
+        _ => return None,
+    })
+}
+
 /// Parses a whole program: a sequence of rules.
 pub fn parse_rules(src: &str) -> Result<Vec<Rule>> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
@@ -50,7 +117,11 @@ pub fn parse_rule(src: &str) -> Result<Rule> {
 /// front-end).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let e = p.expr()?;
     if !p.at_end() {
         return Err(Error::Parse(format!("trailing input after expression: {src:?}")));
@@ -182,6 +253,11 @@ fn lex(src: &str) -> Result<Vec<Tok>> {
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// Nested [`Parser::climb`] calls in progress. Each one parses an
+    /// operand one tree level below its caller, so bounding this by
+    /// [`MAX_EXPR_DEPTH`] on the way down stops the recursion before it
+    /// can exhaust the stack.
+    nesting: usize,
 }
 
 impl Parser {
@@ -416,128 +492,50 @@ impl Parser {
         }
     }
 
-    // Precedence climbing: || < && < comparison < |^& < shift < +- < */%.
+    // Precedence climbing: || < && < comparison < |^& < shift < +- < */.
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.climb(0)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat("||") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+    /// Parses an expression whose operators all bind at least as tightly
+    /// as `min`. Every level is left-associative except comparison, which
+    /// joins exactly two operands of tighter levels.
+    fn climb(&mut self, min: u8) -> Result<Parsed> {
+        self.nesting += 1;
+        if self.nesting > MAX_EXPR_DEPTH {
+            return Err(too_deep());
         }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat("&&") {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let lhs = self.bit_expr()?;
-        let op = match self.peek() {
-            Some(Tok::Punct("==")) => Some(BinOp::Eq),
-            Some(Tok::Punct("!=")) => Some(BinOp::Ne),
-            Some(Tok::Punct("<")) => Some(BinOp::Lt),
-            Some(Tok::Punct("<=")) => Some(BinOp::Le),
-            Some(Tok::Punct(">")) => Some(BinOp::Gt),
-            Some(Tok::Punct(">=")) => Some(BinOp::Ge),
-            _ => None,
-        };
-        match op {
-            Some(op) => {
-                self.pos += 1;
-                let rhs = self.bit_expr()?;
-                Ok(Expr::bin(op, lhs, rhs))
-            }
-            None => Ok(lhs),
-        }
-    }
-
-    fn bit_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.shift_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Punct("|")) => BinOp::BitOr,
-                Some(Tok::Punct("^")) => BinOp::BitXor,
-                Some(Tok::Punct("&")) => BinOp::BitAnd,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.shift_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn shift_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Punct("<<")) => BinOp::Shl,
-                Some(Tok::Punct(">>")) => BinOp::Shr,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.add_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Punct("+")) => BinOp::Add,
-                Some(Tok::Punct("-")) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.primary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Punct("*")) => BinOp::Mul,
-                Some(Tok::Punct("/")) => BinOp::Div,
-                // `%` is the comment character; modulo is spelled `mod` via
-                // the `hmod`/`Mod` path or the `Bin` constructor in code.
-                _ => break,
-            };
+        // Binding strength of the operator that built `lhs`.
+        let mut built = u8::MAX;
+        while let Some((op, prec)) = binop(self.peek()) {
+            if prec < min || (prec == CMP && built <= CMP) {
+                break;
+            }
             self.pos += 1;
-            let rhs = self.primary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            let rhs = self.climb(prec + 1)?;
+            lhs = bin(op, lhs, rhs)?;
+            built = prec;
         }
+        self.nesting -= 1;
         Ok(lhs)
     }
 
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<Parsed> {
         match self.next()? {
-            Tok::Int(n) => Ok(Expr::val(n)),
-            Tok::Str(s) => Ok(Expr::Const(Value::str(s))),
-            Tok::Ip(ip) => Ok(Expr::Const(Value::Ip(ip))),
-            Tok::Pfx(p) => Ok(Expr::Const(Value::Prefix(p))),
+            Tok::Int(n) => Ok((Expr::val(n), 1)),
+            Tok::Str(s) => Ok((Expr::Const(Value::str(s)), 1)),
+            Tok::Ip(ip) => Ok((Expr::Const(Value::Ip(ip)), 1)),
+            Tok::Pfx(p) => Ok((Expr::Const(Value::Prefix(p)), 1)),
             Tok::Punct("(") => {
-                let e = self.expr()?;
+                let (e, depth) = self.climb(0)?;
                 self.expect(")")?;
-                Ok(e)
+                leveled(e, depth + 1)
             }
             Tok::Punct("-") => {
                 // Unary minus on an integer literal.
                 match self.next()? {
-                    Tok::Int(n) => Ok(Expr::val(-n)),
+                    Tok::Int(n) => Ok((Expr::val(-n), 1)),
                     other => Err(Error::Parse(format!("expected integer after '-', got {other:?}"))),
                 }
             }
@@ -547,9 +545,12 @@ impl Parser {
                         .ok_or_else(|| Error::Parse(format!("unknown function {name:?}")))?;
                     self.expect("(")?;
                     let mut args = Vec::new();
+                    let mut depth = 0;
                     if !self.eat(")") {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, d) = self.climb(0)?;
+                            args.push(arg);
+                            depth = depth.max(d);
                             if self.eat(",") {
                                 continue;
                             }
@@ -564,12 +565,12 @@ impl Parser {
                             args.len()
                         )));
                     }
-                    Ok(Expr::Call(f, args))
+                    leveled(Expr::Call(f, args), depth + 1)
                 } else {
                     match name.as_str() {
-                        "true" => Ok(Expr::val(true)),
-                        "false" => Ok(Expr::val(false)),
-                        _ => Ok(Expr::var(name)),
+                        "true" => Ok((Expr::val(true), 1)),
+                        "false" => Ok((Expr::val(false), 1)),
+                        _ => Ok((Expr::var(name), 1)),
                     }
                 }
             }
@@ -691,5 +692,65 @@ mod tests {
         assert!(matches!(err, Error::Parse(_)));
         let err = parse_rules("r h(@N)").unwrap_err();
         assert!(err.to_string().contains("expected"), "{err}");
+    }
+
+    /// Runs `f` on a thread with the default spawned-thread stack, where
+    /// an unbounded recursion aborts the process instead of failing.
+    fn on_default_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::spawn(f)
+            .join()
+            .expect("parser thread panicked")
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}1{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn deep_parentheses_are_rejected() {
+        let err = on_default_thread(|| parse_expr(&nested(5_000))).unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err}");
+        assert!(err.to_string().contains("deeper than"), "{err}");
+        let err = on_default_thread(|| {
+            parse_rule(&format!("r h(@N, X) :- b(@N, Y), X := {}.", nested(5_000)))
+        })
+        .unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err}");
+    }
+
+    #[test]
+    fn long_operator_chains_are_rejected() {
+        let chain = vec!["1"; 100_000].join("+");
+        let err = on_default_thread(move || parse_expr(&chain)).unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err}");
+        assert!(err.to_string().contains("deeper than"), "{err}");
+    }
+
+    #[test]
+    fn nesting_through_every_precedence_level_is_rejected() {
+        // Each parenthesis sits under one operator of every binding
+        // strength, the deepest recursion per level of input.
+        let n = 1_000;
+        let src = format!(
+            "{}1{}",
+            "1 || 1 && 1 == 1 | 1 << 1 + 1 * (".repeat(n),
+            ")".repeat(n)
+        );
+        let err = on_default_thread(move || parse_expr(&src)).unwrap_err();
+        assert!(err.to_string().contains("deeper than"), "{err}");
+    }
+
+    #[test]
+    fn depth_200_still_parses() {
+        let e = on_default_thread(|| parse_expr(&nested(200))).unwrap();
+        assert_eq!(e.eval(&Default::default()).unwrap(), Value::Int(1));
+        let chain = vec!["1"; 200].join("+");
+        let e = on_default_thread(move || parse_expr(&chain)).unwrap();
+        assert_eq!(e.eval(&Default::default()).unwrap(), Value::Int(200));
+        let r = on_default_thread(|| {
+            parse_rule(&format!("r h(@N, X) :- b(@N, Y), X := {}.", nested(200)))
+        })
+        .unwrap();
+        assert_eq!(r.assigns.len(), 1);
     }
 }

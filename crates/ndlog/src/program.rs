@@ -142,10 +142,11 @@ pub struct Program {
     plans: PlanSet,
 }
 
-// Batch workers read the program concurrently through a shared
-// reference (see `engine.rs`, "Parallel batch firing"); `NativeRule`
-// and `StatefulBuiltin` carry `Send + Sync` bounds for exactly this.
-// Keep the whole program thread-shareable, checked at compile time.
+// Executions, and the `Arc<Program>` they hold, move across threads (the
+// metrics server replays a scenario on a worker thread); `NativeRule` and
+// `StatefulBuiltin` carry `Send + Sync` bounds for exactly this. Keep the
+// whole program, plans included, thread-shareable, checked at compile
+// time.
 const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<Program>();

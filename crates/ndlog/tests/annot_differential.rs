@@ -8,10 +8,9 @@
 //! agree on episode intervals, and the reconstruction must pass the tree
 //! well-formedness checker.
 //!
-//! The matrix covers batched/unbatched × trie/no-trie × naive joins ×
-//! 1/2/4 worker threads plus the 1/2/4-shard ladder, over the int-, the
-//! prefix- (constraints, builtins, aggregations — the report-mode rules),
-//! and the shard-flavored generators, and the full repro scenario corpus
+//! The matrix covers batched/unbatched × trie/no-trie × naive joins, over
+//! the int-, the prefix- (constraints, builtins, aggregations — the
+//! report-mode rules), and the cross-node generators, and the full repro scenario corpus
 //! (4 SDN + 4 MapReduce + the campus network). Any inexactness in the
 //! annotation backend's height-bounded body search — a wrong trigger pin,
 //! a visibility leak, a lex tie broken differently than the engine broke
@@ -24,7 +23,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dp_ndlog::testsupport::{intgen, prefixgen, shardgen, EngineConfig, ScheduledOp};
+use dp_ndlog::testsupport::{crossnodegen, intgen, prefixgen, EngineConfig, ScheduledOp};
 use dp_ndlog::{Engine, Program};
 use dp_provenance::{
     extract_tree, extract_tree_latest, reconstruct_tree, reconstruct_tree_latest,
@@ -166,7 +165,7 @@ fn check_case(program: &Arc<Program>, ops: &[ScheduledOp], configs: &[EngineConf
 }
 
 /// Int-flavored random programs (joins, assignments, comparison
-/// constraints, derived-on-derived chaining) across the full six-way
+/// constraints, derived-on-derived chaining) across the full four-way
 /// engine matrix.
 #[test]
 fn annot_matches_graph_on_random_int_programs() {
@@ -214,28 +213,26 @@ fn annot_matches_graph_on_random_prefix_programs() {
     assert!(checked > 500, "suite barely reconstructed: {checked} trees");
 }
 
-/// Shard-flavored random programs (cross-node forwards, link delays)
-/// across the 1/2/4-shard ladder: the annotation recorder's sharded
-/// `emit_seq` draining must deliver the same stream the graph recorder
-/// sees, and reconstruction must pin remote triggers through the
+/// Cross-node random programs (`@loc` forwards, link delays) across the
+/// engine matrix: reconstruction must pin remote triggers through the
 /// `fired_at + delay` filter.
 #[test]
-fn annot_matches_graph_across_shard_counts() {
+fn annot_matches_graph_on_cross_node_programs() {
     let mut rng = DetRng::seed_from_u64(0xA902_54AD);
     let mut cases = 0usize;
     let mut checked = 0usize;
     while cases < 16 {
-        let Some(program) = shardgen::arb_program(&mut rng) else {
+        let Some(program) = crossnodegen::arb_program(&mut rng) else {
             continue;
         };
-        let mut ops = shardgen::topology_schedule(&mut rng);
-        ops.extend(shardgen::schedule(&shardgen::arb_ops(&mut rng)));
+        let mut ops = crossnodegen::topology_schedule(&mut rng);
+        ops.extend(crossnodegen::schedule(&crossnodegen::arb_ops(&mut rng)));
         cases += 1;
         checked += check_case(
             &program,
             &ops,
-            &EngineConfig::shard_matrix(),
-            &format!("shard case {cases}"),
+            &EngineConfig::matrix(),
+            &format!("cross-node case {cases}"),
         );
     }
     assert!(checked > 300, "suite barely reconstructed: {checked} trees");

@@ -1,12 +1,6 @@
-//! Satellite coverage for two observability-adjacent contracts:
-//!
-//! * [`ProvenanceSink::record_batch`] delivers the *same stream* as the
-//!   tuple-at-a-time path, chunked at delta-batch boundaries with order
-//!   preserved — asserted against a batch-boundary-recording sink.
-//! * [`Engine::join_profile`] accumulates identically across mixed
-//!   batched/parallel runs: interleaving a pool-sized bulk load with
-//!   small serial batches on a 4-thread engine must produce the same
-//!   per-rule profile as a single-threaded engine fed the same schedule.
+//! [`ProvenanceSink::record_batch`] delivers the *same stream* as the
+//! tuple-at-a-time path, chunked at delta-batch boundaries with order
+//! preserved — asserted against a batch-boundary-recording sink.
 
 use std::sync::Arc;
 
@@ -60,9 +54,9 @@ impl ProvenanceSink for BatchSink {
     }
 }
 
-/// The op schedule: a bulk route load in one tick (a batch big enough for
-/// the worker pool), packet churn spread over later ticks (small serial
-/// batches), and same-tick delete/insert replacements.
+/// The op schedule: a bulk route load in one tick (one deep batch),
+/// packet churn spread over later ticks (small batches), and same-tick
+/// delete/insert replacements.
 fn schedule(eng: &mut Engine<impl ProvenanceSink>) {
     let n = NodeId::new("n");
     for i in 0..40u8 {
@@ -106,7 +100,6 @@ fn record_batch_preserves_stream_order() {
 
     let mut batched = Engine::new(Arc::clone(&prog), BatchSink::default());
     batched.set_unbatched(false);
-    batched.set_threads(1);
     schedule(&mut batched);
     batched.run().unwrap();
     let sink = batched.into_sink();
@@ -119,89 +112,4 @@ fn record_batch_preserves_stream_order() {
         "no multi-event batch was ever delivered"
     );
     assert!(sink.batches.len() > 1, "everything arrived in one batch");
-}
-
-/// The same stream contract holds when the pool-sized batches are fired
-/// in parallel.
-#[test]
-fn record_batch_preserves_stream_order_in_parallel() {
-    let prog = program();
-
-    let mut reference = Engine::new(Arc::clone(&prog), VecSink::default());
-    reference.set_unbatched(true);
-    schedule(&mut reference);
-    reference.run().unwrap();
-    let reference = reference.into_sink().events;
-
-    let mut batched = Engine::new(Arc::clone(&prog), BatchSink::default());
-    batched.set_unbatched(false);
-    batched.set_threads(4);
-    schedule(&mut batched);
-    batched.run().unwrap();
-    assert!(
-        batched.stats().parallel_batches > 0,
-        "bulk load never reached the worker pool"
-    );
-    let sink = batched.into_sink();
-    let concatenated: Vec<ProvEvent> = sink.batches.iter().flatten().cloned().collect();
-    assert_eq!(concatenated, reference, "parallel batch concatenation diverges");
-}
-
-/// Runs the two-phase schedule as two separate `run()` calls (bulk load
-/// first, churn second) so the engine's counters accumulate across runs,
-/// then returns the profile and stats.
-fn mixed_runs(threads: usize) -> Engine<VecSink> {
-    let prog = program();
-    let mut eng = Engine::new(prog, VecSink::default());
-    eng.set_unbatched(false);
-    eng.set_threads(threads);
-    let n = NodeId::new("n");
-    for i in 0..40u8 {
-        let p = cidr(&format!("10.{}.{}.0/24", i % 4, i));
-        eng.schedule_insert(0, n.clone(), tuple!("rt", p, i as i64))
-            .unwrap();
-    }
-    eng.run().unwrap();
-    for i in 0..12u8 {
-        let src = format!("10.{}.{}.7", i % 4, i % 8);
-        eng.schedule_insert(
-            100 + i as u64,
-            n.clone(),
-            tuple!(
-                "pk",
-                Value::Ip(dp_types::prefix::ip(&src)),
-                Value::Ip(dp_types::prefix::ip("10.0.0.9"))
-            ),
-        )
-        .unwrap();
-    }
-    eng.run().unwrap();
-    eng
-}
-
-/// After a parallel bulk load followed by small serial batches, the
-/// 4-thread profile must equal the single-threaded one, rule for rule —
-/// and the run must genuinely have mixed the two flush paths.
-#[test]
-fn join_profile_agrees_after_mixed_batched_and_parallel_runs() {
-    let serial = mixed_runs(1);
-    let parallel = mixed_runs(4);
-
-    assert_eq!(
-        serial.join_profile(),
-        parallel.join_profile(),
-        "per-rule join profiles diverge between thread counts"
-    );
-    assert!(
-        !serial.join_profile().is_empty(),
-        "schedule exercised no rules at all"
-    );
-    let stats = parallel.stats();
-    assert!(stats.parallel_batches > 0, "no batch used the worker pool");
-    assert!(
-        stats.batches > stats.parallel_batches,
-        "every batch was parallel; the mix never exercised the serial flush"
-    );
-    assert_eq!(serial.stats().parallel_batches, 0);
-    assert_eq!(serial.rule_firings(), parallel.rule_firings());
 }

@@ -231,17 +231,6 @@ impl Aggregate {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// All counters whose names start with `prefix`, in name order. Used
-    /// for families of per-instance counters (e.g. `shard.deltas.<i>`)
-    /// where the instance count is not known to the reader up front.
-    pub fn counters_prefixed(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(name, v)| (name.clone(), *v))
-            .collect()
-    }
-
     /// Hand-rolled JSON rendering of the full aggregate (no histogram
     /// buckets with zero entries are elided; bucket arrays are kept as-is
     /// for simplicity of downstream tooling).
@@ -909,26 +898,6 @@ mod tests {
         assert_eq!(trace.events[1].name(), "from.b");
         // Finishing drained the shared buffer.
         assert!(t2.finish().events.is_empty());
-    }
-
-    #[test]
-    fn counters_prefixed_selects_a_family_in_order() {
-        let t = Tracer::aggregate_only();
-        t.counter("shard.deltas.0", Class::Effort, 5);
-        t.counter("shard.deltas.2", Class::Effort, 7);
-        t.counter("shard.deltas.1", Class::Effort, 6);
-        t.counter("shard.msgs", Class::Effort, 9);
-        t.counter("other", Class::Effort, 1);
-        let agg = t.aggregate();
-        assert_eq!(
-            agg.counters_prefixed("shard.deltas."),
-            vec![
-                ("shard.deltas.0".to_string(), 5),
-                ("shard.deltas.1".to_string(), 6),
-                ("shard.deltas.2".to_string(), 7),
-            ]
-        );
-        assert!(agg.counters_prefixed("absent.").is_empty());
     }
 
     #[test]
