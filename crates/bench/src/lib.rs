@@ -170,10 +170,23 @@ mod tests {
     /// Figure 7/8's shape: turnaround is replay-dominated, reasoning is
     /// orders of magnitude smaller, and DiffProv costs more than a single
     /// Y! query (it replays more).
+    ///
+    /// Each side of a comparison is the minimum over three runs: other
+    /// tests run beside this one, and a single wall-clock sample per side
+    /// lets one descheduling flip the comparison.
     #[test]
     fn query_times_are_replay_dominated() {
-        let timings = query::all_timings().unwrap();
+        let mut timings = query::all_timings().unwrap();
         assert_eq!(timings.len(), 8);
+        for _ in 1..3 {
+            for (t, again) in timings.iter_mut().zip(query::all_timings().unwrap()) {
+                assert_eq!(t.name, again.name);
+                t.diffprov_replay = t.diffprov_replay.min(again.diffprov_replay);
+                t.diffprov_reasoning = t.diffprov_reasoning.min(again.diffprov_reasoning);
+                t.diffprov_total = t.diffprov_total.min(again.diffprov_total);
+                t.ybang = t.ybang.min(again.ybang);
+            }
+        }
         for t in &timings {
             assert!(
                 t.diffprov_replay >= t.diffprov_reasoning,

@@ -73,7 +73,8 @@
 //! stream order is the event order by construction.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 pub mod snapshot;
@@ -81,8 +82,8 @@ pub mod snapshot;
 use dp_metrics::Metrics;
 use dp_trace::{Class, Tracer};
 use dp_types::{
-    Error, LogicalTime, NodeId, Prefix, PrefixTrie, Result, Sym, TableKind, Tuple, TupleRef,
-    TupleStore, Value,
+    Error, FxHashMap, LogicalTime, NodeId, Prefix, PrefixTrie, Result, Sym, TableKind, Tuple,
+    TupleRef, TupleStore, Value,
 };
 
 use crate::ast::{BodyAtom, Constraint, Pattern, Rule};
@@ -181,9 +182,10 @@ impl TrieIndex {
 ///
 /// `indexes[slot]` maps a key (the values of `specs[slot]`'s columns) to the
 /// bucket of live tuples with those values, kept as a `BTreeSet` so index
-/// probes still enumerate candidates in tuple order. The `HashMap` layer is
-/// only ever probed by key, never iterated, so its nondeterministic
-/// iteration order cannot leak into the event stream.
+/// probes still enumerate candidates in tuple order. The hash layer is
+/// only ever probed by key, never iterated, so its iteration order cannot
+/// leak into the event stream (which is also what lets it use the fast
+/// fixed-key [`FxHashMap`]).
 ///
 /// `tries[slot]` is the prefix trie over column `trie_specs[slot]`,
 /// answering `prefix_contains` probes in O(32) instead of a full scan.
@@ -192,7 +194,7 @@ struct Table {
     specs: IndexSpecs,
     trie_specs: TrieSpecs,
     tuples: BTreeMap<Arc<Tuple>, TupleState>,
-    indexes: Vec<HashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
+    indexes: Vec<FxHashMap<Vec<Value>, BTreeSet<Arc<Tuple>>>>,
     tries: Vec<TrieIndex>,
     /// Clock of the most recent appearance in this table. Lets `as_of`-
     /// horizon probes (see the module docs on batching) skip the per-
@@ -210,7 +212,7 @@ fn index_key(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
 
 impl Table {
     fn with_specs(specs: IndexSpecs, trie_specs: TrieSpecs) -> Self {
-        let indexes = vec![HashMap::new(); specs.len()];
+        let indexes = vec![FxHashMap::default(); specs.len()];
         let tries = vec![TrieIndex::default(); trie_specs.len()];
         Table {
             specs,
@@ -223,21 +225,23 @@ impl Table {
     }
 
     fn insert(&mut self, tuple: &Arc<Tuple>, now: LogicalTime) -> &mut TupleState {
-        if !self.tuples.contains_key(&**tuple) {
-            self.last_appear = self.last_appear.max(now);
-            for (slot, cols) in self.specs.iter().enumerate() {
-                if let Some(key) = index_key(tuple, cols) {
-                    self.indexes[slot]
-                        .entry(key)
-                        .or_default()
-                        .insert(Arc::clone(tuple));
-                }
-            }
-            for (slot, &col) in self.trie_specs.iter().enumerate() {
-                self.tries[slot].insert(tuple, col);
+        let vacant = match self.tuples.entry(Arc::clone(tuple)) {
+            Entry::Occupied(e) => return e.into_mut(),
+            Entry::Vacant(e) => e,
+        };
+        self.last_appear = self.last_appear.max(now);
+        for (slot, cols) in self.specs.iter().enumerate() {
+            if let Some(key) = index_key(tuple, cols) {
+                self.indexes[slot]
+                    .entry(key)
+                    .or_default()
+                    .insert(Arc::clone(tuple));
             }
         }
-        self.tuples.entry(Arc::clone(tuple)).or_default()
+        for (slot, &col) in self.trie_specs.iter().enumerate() {
+            self.tries[slot].insert(tuple, col);
+        }
+        vacant.insert(TupleState::default())
     }
 
     fn remove(&mut self, tuple: &Tuple) {
@@ -263,7 +267,7 @@ impl Table {
     /// specs. Used when restoring a checkpoint under a program whose index
     /// requirements may differ from the one that took it.
     fn rebuild(&mut self, specs: IndexSpecs, trie_specs: TrieSpecs) {
-        self.indexes = vec![HashMap::new(); specs.len()];
+        self.indexes = vec![FxHashMap::default(); specs.len()];
         self.specs = specs;
         self.tries = vec![TrieIndex::default(); trie_specs.len()];
         self.trie_specs = trie_specs;
@@ -826,8 +830,10 @@ pub struct Engine<S: ProvenanceSink> {
     /// Provenance events of the current batch, in emission order, released
     /// to the sink at the batch boundary.
     events: Vec<ProvEvent>,
-    /// body tuple -> heads whose derivations reference it.
-    dependents: BTreeMap<TupleRef, Vec<TupleRef>>,
+    /// body tuple -> heads whose derivations reference it. Only probed
+    /// by key; [`Engine::snapshot`] sorts it into the snapshot's
+    /// `BTreeMap`, so checkpoint bytes never see the hash order.
+    dependents: FxHashMap<TupleRef, Vec<TupleRef>>,
     queue: BinaryHeap<Reverse<Scheduled>>,
     clock: LogicalTime,
     seq: u64,
@@ -850,7 +856,10 @@ pub struct Engine<S: ProvenanceSink> {
     /// Appearances of the current same-`due` batch, awaiting their rule
     /// firings (always empty in unbatched mode and at quiescence).
     pending: Vec<Delta>,
-    /// Reusable per-delta action buffers for [`Engine::flush_batch`].
+    /// Reusable per-delta action buffers for [`Engine::flush_batch`],
+    /// as many as the largest batch so far. Every slot is empty between
+    /// flushes: a flush fills and drains only the first `deltas.len()`
+    /// slots, so its cost follows its own batch, not the largest one.
     flush_buf: Vec<Vec<(LogicalTime, Action)>>,
     /// Reusable action buffer for the unbatched reference path.
     fire_scratch: Vec<(LogicalTime, Action)>,
@@ -917,7 +926,7 @@ impl<S: ProvenanceSink> Engine<S> {
             nodes: BTreeMap::new(),
             store: TupleStore::new(),
             events: Vec::new(),
-            dependents: BTreeMap::new(),
+            dependents: FxHashMap::default(),
             queue: BinaryHeap::new(),
             clock: 0,
             seq: 0,
@@ -1116,7 +1125,11 @@ impl<S: ProvenanceSink> Engine<S> {
         }
         Ok(EngineSnapshot {
             nodes: self.nodes.clone(),
-            dependents: self.dependents.clone(),
+            dependents: self
+                .dependents
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
             clock: self.clock,
             seq: self.seq,
         })
@@ -1160,7 +1173,7 @@ impl<S: ProvenanceSink> Engine<S> {
         let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
         let mut engine = Engine::new(program, sink);
         engine.nodes = nodes;
-        engine.dependents = snap.dependents;
+        engine.dependents = snap.dependents.into_iter().collect();
         engine.clock = snap.clock;
         engine.seq = snap.seq;
         engine.stats.peak_tuples = live;
@@ -1529,10 +1542,11 @@ impl<S: ProvenanceSink> Engine<S> {
 
     fn do_insert_base(&mut self, node: NodeId, tuple: Arc<Tuple>) -> Result<()> {
         let now = self.clock;
-        let specs = self.program.index_specs_for(&tuple.table).cloned();
-        let tries = self.program.trie_specs_for(&tuple.table).cloned();
+        let program = Arc::clone(&self.program);
+        let specs = program.index_specs_for(&tuple.table);
+        let tries = program.trie_specs_for(&tuple.table);
         let state = self.nodes.entry(node.clone()).or_default();
-        let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
+        let entry = state.entry(&tuple, specs, tries, now);
         if entry.base {
             return Ok(()); // idempotent re-insert
         }
@@ -1624,10 +1638,11 @@ impl<S: ProvenanceSink> Engine<S> {
                 return Ok(());
             }
         }
-        let specs = self.program.index_specs_for(&tuple.table).cloned();
-        let tries = self.program.trie_specs_for(&tuple.table).cloned();
+        let program = Arc::clone(&self.program);
+        let specs = program.index_specs_for(&tuple.table);
+        let tries = program.trie_specs_for(&tuple.table);
         let state = self.nodes.entry(node.clone()).or_default();
-        let entry = state.entry(&tuple, specs.as_ref(), tries.as_ref(), now);
+        let entry = state.entry(&tuple, specs, tries, now);
         let record = DerivRecord {
             rule: rule.clone(),
             body: body.clone(),
@@ -1862,9 +1877,6 @@ impl<S: ProvenanceSink> Engine<S> {
                 m.queue_depth.set(self.queue.len() as i64);
             }
             let mut buf = std::mem::take(&mut self.flush_buf);
-            for b in &mut buf {
-                b.clear();
-            }
             if buf.len() < deltas.len() {
                 buf.resize_with(deltas.len(), Vec::new);
             }
@@ -1890,10 +1902,15 @@ impl<S: ProvenanceSink> Engine<S> {
                 span.end(Some(self.clock), &[("deltas", deltas.len() as u64)]);
             }
             if let Err(e) = fired {
+                // The deltas fired before the failure left actions in
+                // their slots; none of them may reach a later flush.
+                for actions in &mut buf[..deltas.len()] {
+                    actions.clear();
+                }
                 self.flush_buf = buf;
                 return Err(e);
             }
-            for actions in buf.iter_mut().take(deltas.len()) {
+            for actions in &mut buf[..deltas.len()] {
                 for (due, action) in actions.drain(..) {
                     self.push(due, action);
                 }

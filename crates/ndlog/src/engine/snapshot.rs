@@ -307,4 +307,70 @@ mod tests {
             Err(Error::Codec { context: "snapshot", .. })
         ));
     }
+
+    /// The encoded snapshot of a replayed multi-node engine, pinned by
+    /// digest. `reach` floods four hops across a ring of twelve nodes with
+    /// chords, so the dependents map holds hundreds of keys; a change to
+    /// the order the encoder walks them, or to any other encoded field,
+    /// moves the digest. Both firing disciplines must reach the same bytes.
+    #[test]
+    fn replayed_snapshot_bytes_are_pinned() {
+        use crate::engine::Engine;
+        use crate::program::Program;
+        use crate::sink::NullSink;
+        use dp_types::{fnv64, FieldType, Schema, SchemaRegistry, TableKind};
+
+        let mut reg = SchemaRegistry::new();
+        reg.declare(Schema::new(
+            "origin",
+            TableKind::ImmutableBase,
+            [("src", FieldType::Str), ("hops", FieldType::Int)],
+        ));
+        reg.declare(Schema::new(
+            "rev",
+            TableKind::MutableBase,
+            [("prev", FieldType::Str)],
+        ));
+        reg.declare(Schema::new(
+            "reach",
+            TableKind::Derived,
+            [("src", FieldType::Str), ("hops", FieldType::Int)],
+        ));
+        let program = Program::builder(reg)
+            .rules_text(
+                "r0 reach(@N, X, C) :- origin(@N, X, C).\n\
+                 r1 reach(@M, X, C1) :- reach(@N, X, C), rev(@N, M), C1 := C + 1, C < 4.",
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        let name = |i: usize| Sym::new(format!("n{}", i % 12));
+        let digest = |unbatched: bool| {
+            let mut eng = Engine::new(Arc::clone(&program), NullSink);
+            eng.set_unbatched(unbatched);
+            for i in 0..12 {
+                let node = NodeId::new(name(i));
+                for step in [1, 4, 5] {
+                    eng.schedule_insert(0, node.clone(), tuple!("rev", name(i + step)))
+                        .unwrap();
+                }
+                eng.schedule_insert(1, node, tuple!("origin", name(i), 0))
+                    .unwrap();
+            }
+            eng.run().unwrap();
+            for i in [2, 5] {
+                let node = NodeId::new(name(i));
+                eng.schedule_delete(10, node, tuple!("rev", name(i + 4)))
+                    .unwrap();
+            }
+            eng.run().unwrap();
+            let snap = eng.snapshot().unwrap();
+            let keys = snap.dependents.len();
+            assert!(keys > 200, "{keys} dependents keys");
+            fnv64(&snap.encode())
+        };
+        let want = digest(false);
+        assert_eq!(want, digest(true), "firing disciplines encode differently");
+        assert_eq!(want, 0xddd9_fbc8_4d99_465d, "digest {want:#018x}");
+    }
 }

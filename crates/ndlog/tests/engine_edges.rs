@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use dp_ndlog::testsupport::EngineConfig;
 use dp_ndlog::{
     parse_rules, Emitter, Engine, NativeRule, NodeView, NullSink, Program, ProvEvent,
     RuleJoinProfile, StatefulBuiltin, VecSink,
@@ -888,6 +889,82 @@ fn event_budget_errors_cleanly_with_provenance_flushed() {
         reference.len()
     );
     assert_eq!(reference, run(true), "unbatched: flushed streams diverge");
+}
+
+#[test]
+fn failed_flush_pushes_no_action_from_its_batch() {
+    // `boom!` errors on e(5). Rule `five` derives d(5) from the same delta
+    // and comes first in the trigger list, so the batched flush has
+    // already buffered d(5) in e(5)'s action slot when the firing fails,
+    // while the tuple-at-a-time path drops it with the failed firing. The
+    // next, wider batch reuses that slot: if the failed flush left d(5)
+    // there, it would be pushed now. Every configuration must end with
+    // the same stream and state, and without d(5).
+    struct Boom;
+    impl StatefulBuiltin for Boom {
+        fn name(&self) -> Sym {
+            Sym::new("boom")
+        }
+        fn eval(&self, _view: &NodeView<'_>, args: &[Value]) -> Result<bool> {
+            if args[0] == Value::Int(5) {
+                return Err(dp_types::Error::Engine("boom on e(5)".into()));
+            }
+            Ok(false)
+        }
+    }
+    let program = Program::builder(base_reg())
+        .rules_text(
+            "five d(@N, X) :- e(@N, X), X == 5.\n\
+             gate d(@N, X) :- e(@N, X), boom!(X).\n\
+             big d(@N, X) :- e(@N, X), X > 10.",
+        )
+        .unwrap()
+        .builtin(Arc::new(Boom))
+        .build()
+        .unwrap();
+    let n = NodeId::new("n");
+    let runs: Vec<_> = EngineConfig::matrix()
+        .iter()
+        .map(|cfg| {
+            let mut eng = Engine::new(program.clone(), VecSink::default());
+            cfg.apply(&mut eng);
+            for x in 1..=10i64 {
+                eng.schedule_insert(0, n.clone(), tuple!("e", x)).unwrap();
+            }
+            let err = eng.run().expect_err("boom! must fail the batch");
+            assert!(
+                err.to_string().contains("boom on e(5)"),
+                "{}: {err}",
+                cfg.label
+            );
+            for x in 11..=20i64 {
+                eng.schedule_insert(100, n.clone(), tuple!("e", x)).unwrap();
+            }
+            eng.run().unwrap();
+            assert!(
+                eng.lookup(&n, &tuple!("d", 5)).is_none(),
+                "{}: an action of the failed batch was pushed",
+                cfg.label
+            );
+            let derived = eng.view(&n).unwrap().table(&Sym::new("d")).count();
+            assert_eq!(
+                derived, 10,
+                "{}: the further batch must derive d(11..20)",
+                cfg.label
+            );
+            let state: Vec<(Tuple, usize)> = eng
+                .nodes()
+                .flat_map(|(_, st)| st.all().map(|(t, s)| (t.clone(), s.support())))
+                .collect();
+            (cfg.label, eng.into_sink().events, state)
+        })
+        .collect();
+    let (_, want_events, want_state) = &runs[0];
+    assert_eq!(want_state.len(), 30, "e(1..20) and d(11..20)");
+    for (label, events, state) in &runs[1..] {
+        assert_eq!(want_events, events, "{label}: provenance streams diverge");
+        assert_eq!(want_state, state, "{label}: node states diverge");
+    }
 }
 
 /// Two distinct nodes for the cross-node tests below.

@@ -8,12 +8,11 @@
 //! timestamps — is what lets a *past* event serve as the reference
 //! (scenario SDN3).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use dp_ndlog::{ProvEvent, ProvenanceSink};
-use dp_types::{LogicalTime, NodeId, Sym, Tuple, TupleRef};
+use dp_types::{FxHashMap, LogicalTime, NodeId, Sym, Tuple, TupleRef};
 
 /// Index of a vertex within a [`ProvGraph`].
 pub type VertexId = usize;
@@ -134,13 +133,15 @@ impl Episode {
 #[derive(Clone, Debug, Default)]
 pub struct ProvGraph {
     vertices: Vec<Vertex>,
-    /// All episodes of each located tuple, in start order.
-    episodes: BTreeMap<TupleRef, Vec<Episode>>,
+    /// All episodes of each located tuple, in start order. This map and
+    /// the two below are only probed by key, never iterated, so their
+    /// hash order never reaches a vertex id or a tree.
+    episodes: FxHashMap<TupleRef, Vec<Episode>>,
     /// Pending cause vertex between an INSERT/DERIVE event and the APPEAR
     /// that immediately follows it in the stream.
-    pending_cause: BTreeMap<TupleRef, VertexId>,
+    pending_cause: FxHashMap<TupleRef, VertexId>,
     /// Pending negative cause (DELETE/UNDERIVE) before a DISAPPEAR.
-    pending_negative: BTreeMap<TupleRef, VertexId>,
+    pending_negative: FxHashMap<TupleRef, VertexId>,
 }
 
 impl ProvGraph {

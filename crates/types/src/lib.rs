@@ -14,6 +14,8 @@
 //! * [`NodeId`] — identity of a node in the distributed system (a switch, a
 //!   controller, a MapReduce worker).
 //! * [`LogicalTime`] — the deterministic logical clock used throughout.
+//! * [`FxHashMap`] / [`FxHashSet`] — maps with a fast fixed-key hasher,
+//!   for per-tuple bookkeeping that is only ever probed by key.
 //!
 //! The crate is deliberately free of dependencies so that the whole workspace
 //! shares one vocabulary without pulling an engine into scope.
@@ -23,6 +25,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod fxhash;
 pub mod prefix;
 pub mod rng;
 pub mod schema;
@@ -34,6 +37,7 @@ pub mod value;
 
 pub use codec::{fnv64, Dec, Enc, Fnv64, CODEC_VERSION};
 pub use error::{Error, Result};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use prefix::Prefix;
 pub use rng::DetRng;
 pub use schema::{FieldDecl, FieldType, Schema, SchemaRegistry, TableKind};

@@ -1,9 +1,9 @@
 //! Tuples, node identities, and the tuple interner.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::sym::Sym;
 use crate::value::Value;
 
@@ -130,12 +130,12 @@ impl PartialEq<Arc<Tuple>> for Tuple {
 /// provenance events all point at one copy.
 #[derive(Clone, Debug, Default)]
 pub struct TupleStore {
-    set: HashSet<Arc<Tuple>>,
+    set: FxHashSet<Arc<Tuple>>,
     /// Dense annotation slots: `slots[id]` is the tuple assigned slot `id`.
     /// Slot ids are stable for the life of the store — `gc` never drops a
     /// slotted tuple because the slot table itself holds a strong reference.
     slots: Vec<Arc<Tuple>>,
-    slot_ids: HashMap<Arc<Tuple>, u32>,
+    slot_ids: FxHashMap<Arc<Tuple>, u32>,
 }
 
 impl TupleStore {
