@@ -524,6 +524,10 @@ fn run_enginebench() {
         prov.reduction()
     );
     println!(
+        "  graph heap: {:.1} B per vertex",
+        prov.graph_bytes_per_vertex
+    );
+    println!(
         "  recording: graph {:.3}s vs annotations {:.3}s",
         prov.graph_record_secs, prov.annot_record_secs
     );

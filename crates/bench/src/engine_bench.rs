@@ -225,6 +225,10 @@ pub struct ProvBenchResult {
     /// Records held live by the annotation backend: one annotation per
     /// episode plus the body references of report-mode derivations.
     pub annot_records: u64,
+    /// Heap bytes the graph reserves per vertex
+    /// ([`dp_provenance::ProvGraph::heap_bytes`] over its vertex count;
+    /// the tuples, shared with the engine, are not counted).
+    pub graph_bytes_per_vertex: f64,
     /// Wall time of the replay recording into the graph (seconds).
     pub graph_record_secs: f64,
     /// Wall time of the replay recording into the annotation store
@@ -313,15 +317,10 @@ pub fn prov_bench(
     // Sample query points evenly across every episode of every tuple the
     // graph saw, and time reconstruction against extraction on each.
     let mut points: Vec<(TupleRef, u64)> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut graph_index_records = 0u64;
-    for v in graph.vertices() {
-        let tref = TupleRef::new(v.node.clone(), Arc::clone(&v.tuple));
-        if !seen.insert(tref.clone()) {
-            continue;
-        }
-        for ep in graph.episodes(&tref) {
-            graph_index_records += 1 + ep.extra_support.len() as u64;
+    let mut graph_index_records = graph.extra_supports();
+    for tref in graph.located() {
+        for ep in graph.episodes(tref) {
+            graph_index_records += 1;
             points.push((tref.clone(), ep.start));
         }
     }
@@ -351,6 +350,7 @@ pub fn prov_bench(
         entries: c.entry_count,
         background_packets,
         graph_records: graph.stats().total() + graph_index_records,
+        graph_bytes_per_vertex: graph.heap_bytes() as f64 / graph.len().max(1) as f64,
         annot_records: store.stats().total(),
         graph_record_secs,
         annot_record_secs,
@@ -934,6 +934,10 @@ pub fn to_json(
         s.push_str(&format!("    \"annot_records\": {},\n", p.annot_records));
         s.push_str(&format!("    \"reduction\": {:.2},\n", p.reduction()));
         s.push_str(&format!(
+            "    \"graph_bytes_per_vertex\": {:.1},\n",
+            p.graph_bytes_per_vertex
+        ));
+        s.push_str(&format!(
             "    \"graph_record_secs\": {:.6},\n",
             p.graph_record_secs
         ));
@@ -1079,6 +1083,11 @@ mod tests {
         );
         let p = prov_bench(2_000, 10, 50).expect("prov bench runs");
         assert!(p.trees_sampled > 0);
+        assert!(
+            p.graph_bytes_per_vertex > 0.0 && p.graph_bytes_per_vertex < 200.0,
+            "graph holds {:.1} B per vertex",
+            p.graph_bytes_per_vertex
+        );
         assert!(p.trees_match, "sampled reconstructions diverge");
         assert!(
             p.reduction() >= 5.0,
@@ -1113,6 +1122,7 @@ mod tests {
         assert!(json.contains("\"provenance_backend\""));
         assert!(json.contains("\"reconstruct_avg_ms\""));
         assert!(json.contains("\"reduction\""));
+        assert!(json.contains("\"graph_bytes_per_vertex\""));
         assert!(json.contains("\"streams_identical\": true"));
         assert!(json.contains("\"fib_lookup\""));
         assert!(json.contains("\"entries\""));

@@ -151,9 +151,14 @@ impl DiffProv {
                 ))
             })?;
 
+        // Nothing reads a replay once the next one is built, so each is
+        // dropped before its successor: a diagnosis holds one replay at a
+        // time. A separate reference execution goes as soon as its tree is
+        // out.
         let mut replayed_bad = if shared {
             replayed_good
         } else {
+            drop(replayed_good);
             let span = tracer.span("diffprov.replay", Class::Skeleton, None);
             let r = bad.replay()?;
             span.end(None, &[("shared", 0)]);
@@ -300,8 +305,11 @@ impl DiffProv {
                 changes: new_changes,
             });
 
-            // UPDATETREE: cloned replay with the accumulated changes.
+            // UPDATETREE: cloned replay with the accumulated changes. The
+            // old replay is dead from here on; dropping it first keeps the
+            // peak at one replay.
             let span = tracer.span("diffprov.update_tree", Class::Skeleton, None);
+            drop(replayed_bad);
             replayed_bad = bad.replay_with(&delta, inject_at)?;
             span.end(
                 None,

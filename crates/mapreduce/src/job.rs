@@ -126,8 +126,8 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
 
     // Input: file metadata at the driver (what the logging engine actually
     // stores, Section 6.5) and records at the mappers, split round-robin.
-    let mut t = T_INPUT;
-    let mut split = 0usize;
+    // Every event is appended in due order, so the log stays sorted and
+    // reads borrow it: all metadata first, then the records.
     for f in files {
         exec.log.insert(
             T_CONFIG,
@@ -141,6 +141,10 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
                 ],
             ),
         );
+    }
+    let mut t = T_INPUT;
+    let mut split = 0usize;
+    for f in files {
         for (lineno, line) in f.lines.iter().enumerate() {
             let mapper = NodeId::new(&mappers[split % mappers.len()]);
             split += 1;
@@ -177,6 +181,8 @@ pub fn build_job(cfg: &JobConfig, files: &[InputFile]) -> Execution {
     for r in 0..REDUCER_POOL {
         exec.log
             .insert(T_REDUCE, NodeId::new(format!("r{r}")), tuple!("reduceStart", 1));
+    }
+    for r in 0..REDUCER_POOL {
         exec.log
             .insert(T_COMMIT, NodeId::new(format!("r{r}")), tuple!("commitStart", 1));
     }

@@ -115,6 +115,10 @@ pub struct TupleState {
     pub derivations: Vec<DerivRecord>,
     /// When the tuple (last) appeared.
     pub appeared_at: LogicalTime,
+    /// Heads whose derivations use this tuple as a body tuple, in the
+    /// order the derivations were recorded. Taken when the tuple is
+    /// removed: the cascade walks them to underive.
+    dependents: Vec<TupleRef>,
 }
 
 impl TupleState {
@@ -244,10 +248,8 @@ impl Table {
         vacant.insert(TupleState::default())
     }
 
-    fn remove(&mut self, tuple: &Tuple) {
-        if self.tuples.remove(tuple).is_none() {
-            return;
-        }
+    fn remove(&mut self, tuple: &Tuple) -> Option<TupleState> {
+        let state = self.tuples.remove(tuple)?;
         for (slot, cols) in self.specs.iter().enumerate() {
             if let Some(key) = index_key(tuple, cols) {
                 if let Some(bucket) = self.indexes[slot].get_mut(&key) {
@@ -261,6 +263,7 @@ impl Table {
         for (slot, &col) in self.trie_specs.iter().enumerate() {
             self.tries[slot].remove(tuple, col);
         }
+        Some(state)
     }
 
     /// Re-derives every index from the tuple set under (possibly new)
@@ -443,13 +446,14 @@ impl NodeState {
             .and_then(|t| t.tuples.get_mut(tuple))
     }
 
-    fn remove(&mut self, tuple: &Tuple) {
-        if let Some(t) = self.tables.get_mut(&tuple.table) {
-            t.remove(tuple);
-            if t.tuples.is_empty() {
-                self.tables.remove(&tuple.table);
-            }
+    /// Removes a tuple, returning its state.
+    fn remove(&mut self, tuple: &Tuple) -> Option<TupleState> {
+        let t = self.tables.get_mut(&tuple.table)?;
+        let state = t.remove(tuple);
+        if t.tuples.is_empty() {
+            self.tables.remove(&tuple.table);
         }
+        state
     }
 
     fn reindex(&mut self, program: &Program) {
@@ -830,10 +834,6 @@ pub struct Engine<S: ProvenanceSink> {
     /// Provenance events of the current batch, in emission order, released
     /// to the sink at the batch boundary.
     events: Vec<ProvEvent>,
-    /// body tuple -> heads whose derivations reference it. Only probed
-    /// by key; [`Engine::snapshot`] sorts it into the snapshot's
-    /// `BTreeMap`, so checkpoint bytes never see the hash order.
-    dependents: FxHashMap<TupleRef, Vec<TupleRef>>,
     queue: BinaryHeap<Reverse<Scheduled>>,
     clock: LogicalTime,
     seq: u64,
@@ -926,7 +926,6 @@ impl<S: ProvenanceSink> Engine<S> {
             nodes: BTreeMap::new(),
             store: TupleStore::new(),
             events: Vec::new(),
-            dependents: FxHashMap::default(),
             queue: BinaryHeap::new(),
             clock: 0,
             seq: 0,
@@ -1123,13 +1122,23 @@ impl<S: ProvenanceSink> Engine<S> {
                 self.pending.len()
             )));
         }
+        // The snapshot keeps the dependents lists in one sorted map, so
+        // its bytes follow tuple order; the copied states hold none.
+        let mut nodes = self.nodes.clone();
+        let mut dependents = BTreeMap::new();
+        for (node, state) in &mut nodes {
+            for table in state.tables.values_mut() {
+                for (tuple, ts) in &mut table.tuples {
+                    if !ts.dependents.is_empty() {
+                        let key = TupleRef::new(node.clone(), Arc::clone(tuple));
+                        dependents.insert(key, std::mem::take(&mut ts.dependents));
+                    }
+                }
+            }
+        }
         Ok(EngineSnapshot {
-            nodes: self.nodes.clone(),
-            dependents: self
-                .dependents
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+            nodes,
+            dependents,
             clock: self.clock,
             seq: self.seq,
         })
@@ -1148,7 +1157,8 @@ impl<S: ProvenanceSink> Engine<S> {
     /// than the clock. Resuming from such a (corrupt or hand-edited) state
     /// would hand out logical times its tuples have already consumed,
     /// breaking the strictly-increasing-timestamp invariant replay-based
-    /// provenance depends on.
+    /// provenance depends on. Also errors if the snapshot lists dependents
+    /// of a tuple it does not hold: nothing could ever cascade from them.
     pub fn restore(program: Arc<Program>, snap: EngineSnapshot, sink: S) -> Result<Self> {
         for (node, state) in &snap.nodes {
             for (tuple, ts) in state.all() {
@@ -1167,13 +1177,23 @@ impl<S: ProvenanceSink> Engine<S> {
             }
         }
         let mut nodes = snap.nodes;
+        for (key, heads) in snap.dependents {
+            let state = nodes
+                .get_mut(&key.node)
+                .and_then(|n| n.get_mut(&key.tuple))
+                .ok_or_else(|| {
+                    Error::Engine(format!(
+                        "snapshot lists dependents of {key}, which it does not hold"
+                    ))
+                })?;
+            state.dependents = heads;
+        }
         for state in nodes.values_mut() {
             state.reindex(&program);
         }
         let live: u64 = nodes.values().map(|n| n.len() as u64).sum();
         let mut engine = Engine::new(program, sink);
         engine.nodes = nodes;
-        engine.dependents = snap.dependents.into_iter().collect();
         engine.clock = snap.clock;
         engine.seq = snap.seq;
         engine.stats.peak_tuples = live;
@@ -1603,16 +1623,19 @@ impl<S: ProvenanceSink> Engine<S> {
             tuple: Arc::clone(&tuple),
         });
         if gone {
-            if let Some(state) = self.nodes.get_mut(&node) {
-                state.remove(&tuple);
-            }
+            let heads = self
+                .nodes
+                .get_mut(&node)
+                .and_then(|state| state.remove(&tuple))
+                .map(|ts| ts.dependents)
+                .unwrap_or_default();
             self.note_disappear();
             self.emit_event(ProvEvent::Disappear {
                 time: now,
                 node: node.clone(),
                 tuple: Arc::clone(&tuple),
             });
-            self.cascade(now, TupleRef::new(node, tuple))?;
+            self.cascade(now, TupleRef::new(node, tuple), heads)?;
         }
         Ok(())
     }
@@ -1666,10 +1689,14 @@ impl<S: ProvenanceSink> Engine<S> {
         *self.rule_firings.entry(rule.clone()).or_insert(0) += 1;
         let head_ref = TupleRef::new(node.clone(), Arc::clone(&tuple));
         for b in &body {
-            self.dependents
-                .entry(b.clone())
-                .or_default()
-                .push(head_ref.clone());
+            // Every body tuple is live: checked on entry.
+            if let Some(ts) = self
+                .nodes
+                .get_mut(&b.node)
+                .and_then(|n| n.get_mut(&b.tuple))
+            {
+                ts.dependents.push(head_ref.clone());
+            }
         }
         self.emit_event(ProvEvent::Derive {
             time: now,
@@ -1698,11 +1725,9 @@ impl<S: ProvenanceSink> Engine<S> {
     }
 
     /// Removes every derivation that used `gone` as a body tuple,
-    /// recursively deleting tuples whose support drops to zero.
-    fn cascade(&mut self, now: LogicalTime, gone: TupleRef) -> Result<()> {
-        let Some(heads) = self.dependents.remove(&gone) else {
-            return Ok(());
-        };
+    /// recursively deleting tuples whose support drops to zero. `heads`
+    /// are the dependents `gone` held when it was removed.
+    fn cascade(&mut self, now: LogicalTime, gone: TupleRef, heads: Vec<TupleRef>) -> Result<()> {
         for head in heads {
             let Some(state) = self.nodes.get_mut(&head.node) else {
                 continue;
@@ -1736,16 +1761,19 @@ impl<S: ProvenanceSink> Engine<S> {
                 .and_then(|s| s.get(&head.tuple))
                 .map_or(0, |e| e.support());
             if support == 0 {
-                if let Some(state) = self.nodes.get_mut(&head.node) {
-                    state.remove(&head.tuple);
-                }
+                let next = self
+                    .nodes
+                    .get_mut(&head.node)
+                    .and_then(|state| state.remove(&head.tuple))
+                    .map(|ts| ts.dependents)
+                    .unwrap_or_default();
                 self.note_disappear();
                 self.emit_event(ProvEvent::Disappear {
                     time: now,
                     node: head.node.clone(),
                     tuple: Arc::clone(&head.tuple),
                 });
-                self.cascade(now, head)?;
+                self.cascade(now, head, next)?;
             }
         }
         Ok(())

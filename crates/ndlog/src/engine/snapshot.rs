@@ -142,6 +142,7 @@ impl EngineSnapshot {
                             base,
                             derivations,
                             appeared_at,
+                            ..Default::default()
                         },
                     );
                 }
@@ -205,6 +206,7 @@ mod tests {
                 base: true,
                 derivations: vec![],
                 appeared_at: 3,
+                ..Default::default()
             },
         );
         t1.tuples.insert(
@@ -226,6 +228,7 @@ mod tests {
                     },
                 ],
                 appeared_at: 9,
+                ..Default::default()
             },
         );
         let mut s1 = NodeState::default();
@@ -240,6 +243,7 @@ mod tests {
                 base: false,
                 derivations: vec![],
                 appeared_at: 14,
+                ..Default::default()
             },
         );
         let mut s2 = NodeState::default();
@@ -294,6 +298,33 @@ mod tests {
             match EngineSnapshot::decode(&bytes[..cut]) {
                 Err(Error::Codec { .. }) => {}
                 other => panic!("truncation at {cut} gave {other:?}"),
+            }
+        }
+    }
+
+    /// A dependents list keyed by a tuple the snapshot does not hold
+    /// could never be cascaded from; restoring it is a typed error, from
+    /// memory and from bytes alike.
+    #[test]
+    fn restore_rejects_dependents_of_a_tuple_it_does_not_hold() {
+        use crate::engine::Engine;
+        use crate::program::Program;
+        use crate::sink::NullSink;
+        use dp_types::SchemaRegistry;
+
+        let program = Program::builder(SchemaRegistry::new()).build().unwrap();
+        assert!(Engine::restore(Arc::clone(&program), sample(), NullSink).is_ok());
+        let mut snap = sample();
+        snap.dependents.insert(
+            TupleRef::new(NodeId::new("S3"), tuple!("flowEntry", "S3", 1)),
+            vec![TupleRef::new(NodeId::new("S2"), tuple!("reach", "S2"))],
+        );
+        let bytes = snap.encode();
+        for snap in [snap, EngineSnapshot::decode(&bytes).unwrap()] {
+            match Engine::restore(Arc::clone(&program), snap, NullSink) {
+                Err(Error::Engine(msg)) => assert!(msg.contains("does not hold"), "{msg}"),
+                Err(other) => panic!("wrong error: {other:?}"),
+                Ok(_) => panic!("restored dependents of a tuple the snapshot lacks"),
             }
         }
     }

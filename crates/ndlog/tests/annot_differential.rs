@@ -81,8 +81,7 @@ impl<S: dp_ndlog::ProvenanceSink> Schedulable for Engine<S> {
 fn cross_check(graph: &ProvGraph, store: &AnnotationStore, label: &str) -> usize {
     let trefs: BTreeSet<TupleRef> = graph
         .vertices()
-        .iter()
-        .map(|v| TupleRef::new(v.node.clone(), Arc::clone(&v.tuple)))
+        .map(|v| v.tref().clone())
         .collect();
     // Collect all (tref, time, latest?) query points first so large runs
     // can be sampled deterministically instead of silently truncated.

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use dp_ndlog::{Constraint, Env, Expr, Program, ProvEvent, ProvenanceSink, Rule};
 use dp_types::{Error, LogicalTime, NodeId, Sym, Tuple, TupleRef, TupleStore, Value};
 
-use crate::graph::VertexKind;
+use crate::graph::{VertexId, VertexKind};
 use crate::tree::{ProvTree, TreeIdx, TreeNode};
 
 /// How an episode came to exist — the compact counterpart of the graph's
@@ -391,7 +391,7 @@ fn push_node(
         children: Vec::new(),
         // Reconstructed trees have no source graph; the tree index itself
         // serves as the origin, which keeps origins unique per tree.
-        origin: idx,
+        origin: VertexId::try_from(idx).expect("a tree of fewer than 2^32 nodes"),
     });
     if let Some(p) = parent {
         tree.nodes_mut()[p].children.push(idx);

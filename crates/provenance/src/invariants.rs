@@ -26,48 +26,49 @@ use crate::tree::ProvTree;
 pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
     let mut out = Vec::new();
     let len = g.len();
-    for (i, v) in g.vertices().iter().enumerate() {
-        for &c in &v.children {
-            if c >= len {
+    for v in g.vertices() {
+        let (i, children) = (v.id(), v.children());
+        for &c in children {
+            if c as usize >= len {
                 out.push(format!("vertex {i} ({v}) has out-of-range child {c}"));
             }
         }
-        if v.children.iter().any(|&c| c >= len) {
+        if children.iter().any(|&c| c as usize >= len) {
             continue; // Child-kind checks below would index out of range.
         }
-        match &v.kind {
+        match v.kind() {
             VertexKind::Exist { .. } => {
-                if v.children.len() != 1 {
+                if children.len() != 1 {
                     out.push(format!(
                         "EXIST vertex {i} ({v}) has {} children, expected 1",
-                        v.children.len()
+                        children.len()
                     ));
-                } else if !matches!(g.vertex(v.children[0]).kind, VertexKind::Appear) {
+                } else if !matches!(g.vertex(children[0]).kind(), VertexKind::Appear) {
                     out.push(format!(
                         "EXIST vertex {i} ({v}) child is {}, expected APPEAR",
-                        g.vertex(v.children[0])
+                        g.vertex(children[0])
                     ));
                 }
             }
             VertexKind::Appear => {
-                if v.children.len() != 1 {
+                if children.len() != 1 {
                     out.push(format!(
                         "APPEAR vertex {i} ({v}) has {} children, expected 1",
-                        v.children.len()
+                        children.len()
                     ));
                 } else if !matches!(
-                    g.vertex(v.children[0]).kind,
+                    g.vertex(children[0]).kind(),
                     VertexKind::Insert | VertexKind::Derive { .. }
                 ) {
                     out.push(format!(
                         "APPEAR vertex {i} ({v}) child is {}, expected INSERT or DERIVE",
-                        g.vertex(v.children[0])
+                        g.vertex(children[0])
                     ));
                 }
             }
             VertexKind::Derive { .. } => {
-                for &c in &v.children {
-                    if !matches!(g.vertex(c).kind, VertexKind::Exist { .. }) {
+                for &c in children {
+                    if !matches!(g.vertex(c).kind(), VertexKind::Exist { .. }) {
                         out.push(format!(
                             "DERIVE vertex {i} ({v}) child {} is not an EXIST",
                             g.vertex(c)
@@ -76,9 +77,9 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
                 }
             }
             VertexKind::Disappear => {
-                for &c in &v.children {
+                for &c in children {
                     if !matches!(
-                        g.vertex(c).kind,
+                        g.vertex(c).kind(),
                         VertexKind::Delete | VertexKind::Underive { .. }
                     ) {
                         out.push(format!(
@@ -89,22 +90,19 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
                 }
             }
             VertexKind::Insert | VertexKind::Delete | VertexKind::Underive { .. } => {
-                if !v.children.is_empty() {
+                if !children.is_empty() {
                     out.push(format!(
                         "leaf vertex {i} ({v}) has {} children, expected none",
-                        v.children.len()
+                        children.len()
                     ));
                 }
             }
         }
     }
     // Episode structure, per tuple reference seen anywhere in the graph.
-    let mut seen = BTreeSet::new();
-    for v in g.vertices() {
-        seen.insert(TupleRef::new(v.node.clone(), v.tuple.as_ref().clone()));
-    }
+    let seen: BTreeSet<&TupleRef> = g.located().collect();
     for tref in seen {
-        let eps = g.episodes(&tref);
+        let eps = g.episodes(tref);
         for w in eps.windows(2) {
             match w[0].end {
                 Some(end) if end <= w[1].start => {}
@@ -127,9 +125,9 @@ pub fn well_formedness_violations(g: &ProvGraph) -> Vec<String> {
                     ));
                 }
             }
-            match &g.vertex(ep.exist).kind {
+            match g.vertex(ep.exist).kind() {
                 VertexKind::Exist { end } => {
-                    if *end != ep.end {
+                    if end != ep.end {
                         out.push(format!(
                             "episode of {tref} ends at {:?} but its EXIST vertex says {end:?}",
                             ep.end

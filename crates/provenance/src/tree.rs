@@ -142,16 +142,15 @@ fn project(graph: &ProvGraph, vertex: VertexId, parent: Option<TreeIdx>, tree: &
     let v = graph.vertex(vertex);
     let idx = tree.nodes.len();
     tree.nodes.push(TreeNode {
-        kind: v.kind.clone(),
-        node: v.node.clone(),
-        tuple: v.tuple.clone(),
-        time: v.time,
+        kind: v.kind(),
+        node: v.node().clone(),
+        tuple: Arc::clone(v.tuple()),
+        time: v.time(),
         parent,
         children: Vec::new(),
         origin: vertex,
     });
-    let children: Vec<VertexId> = v.children.clone();
-    for c in children {
+    for &c in v.children() {
         let child_idx = project(graph, c, Some(idx), tree);
         tree.nodes[idx].children.push(child_idx);
     }

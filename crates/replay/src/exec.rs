@@ -21,7 +21,7 @@ use dp_trace::{Class, Tracer};
 use dp_types::{LogicalTime, NodeId, Result, Tuple, TupleRef};
 
 use crate::layers::StoreMode;
-use crate::log::{BaseOp, EventLog};
+use crate::log::{BaseEvent, BaseOp, EventLog};
 
 /// Which provenance backend a replay records into: the full temporal
 /// graph, or the compact annotation store with on-demand proof-tree
@@ -572,36 +572,53 @@ impl CheckpointStore {
 ///   to the `after` tuple;
 /// * deletions drop the `before` tuple's events;
 /// * pure insertions (no `before`), and replacements whose `before` never
-///   occurs in the log, add an insertion at `inject_at`.
+///   occurs in the log, add an insertion at `inject_at`, right after the
+///   last event due at `inject_at` (where a stable sort by due places an
+///   appended event), in change order.
+///
+/// The patched log is built in replay order, so reading it borrows.
 pub fn apply_changes(log: &EventLog, changes: &[TupleChange], inject_at: LogicalTime) -> EventLog {
-    let mut out = EventLog::new();
+    let events = log.events();
+    let mut out: Vec<BaseEvent> = Vec::with_capacity(events.len() + changes.len());
     let mut matched = vec![false; changes.len()];
-    'events: for e in log.events().iter() {
+    'events: for e in events.iter() {
         for (ci, c) in changes.iter().enumerate() {
             if let Some(before) = &c.before {
                 if c.node == e.node && *before == e.tuple {
                     matched[ci] = true;
-                    if let Some(after) = &c.after { out.push(crate::log::BaseEvent {
-                        due: e.due,
-                        node: e.node.clone(),
-                        tuple: after.clone(),
-                        op: e.op,
-                    }) }
+                    if let Some(after) = &c.after {
+                        out.push(BaseEvent {
+                            due: e.due,
+                            node: e.node.clone(),
+                            tuple: after.clone(),
+                            op: e.op,
+                        })
+                    }
                     continue 'events;
                 }
             }
         }
         out.push(e.clone());
     }
-    for (ci, c) in changes.iter().enumerate() {
-        if matched[ci] {
-            continue;
-        }
-        if let Some(after) = &c.after {
-            out.insert(inject_at, c.node.clone(), after.clone());
-        }
+    let injected = changes
+        .iter()
+        .zip(&matched)
+        .filter(|(_, &m)| !m)
+        .filter_map(|(c, _)| {
+            Some(BaseEvent {
+                due: inject_at,
+                node: c.node.clone(),
+                tuple: c.after.clone()?,
+                op: BaseOp::Insert,
+            })
+        });
+    let at = out.partition_point(|e| e.due <= inject_at);
+    out.splice(at..at, injected);
+    let mut patched = EventLog::new();
+    for e in out {
+        patched.push(e);
     }
-    out
+    patched
 }
 
 #[cfg(test)]
@@ -688,6 +705,64 @@ mod tests {
         // The original execution is untouched (changes apply to a clone).
         let orig = exec.replay().unwrap();
         assert!(orig.exists(&n, &tuple!("out", 11)));
+    }
+
+    /// The patched log puts each pure insertion right after the events
+    /// already due at `inject_at`, exactly where a stable sort of the
+    /// appended log would, and comes out sorted, so reads borrow it.
+    #[test]
+    fn patched_log_is_built_in_replay_order() {
+        let mut log = EventLog::new();
+        for (due, x) in [(0, 1), (5, 2), (5, 3), (5, 4), (9, 5), (9, 6), (12, 7)] {
+            log.insert(due, "n1", tuple!("in", x));
+        }
+        let n = NodeId::new("n1");
+        let changes = [
+            TupleChange {
+                node: n.clone(),
+                before: None,
+                after: Some(tuple!("cfg", 1)),
+            },
+            TupleChange {
+                node: n.clone(),
+                before: Some(tuple!("in", 3)),
+                after: Some(tuple!("in", 30)),
+            },
+            TupleChange {
+                node: n.clone(),
+                before: Some(tuple!("cfg", 99)),
+                after: Some(tuple!("cfg", 2)),
+            },
+            TupleChange {
+                node: n,
+                before: Some(tuple!("in", 6)),
+                after: None,
+            },
+        ];
+        for inject_at in [0, 4, 5, 9, 12, 20] {
+            // The reference: append the injections, then stable-sort.
+            let mut reference = EventLog::new();
+            for e in log.events().iter() {
+                match e.tuple.args[0] {
+                    dp_types::Value::Int(3) => reference.insert(e.due, "n1", tuple!("in", 30)),
+                    dp_types::Value::Int(6) => {}
+                    _ => reference.push(e.clone()),
+                }
+            }
+            reference.insert(inject_at, "n1", tuple!("cfg", 1));
+            reference.insert(inject_at, "n1", tuple!("cfg", 2));
+            let patched = apply_changes(&log, &changes, inject_at);
+            assert_eq!(
+                patched.events(),
+                reference.events(),
+                "inject_at {inject_at}"
+            );
+            assert_eq!(patched.horizon(), reference.horizon());
+            assert!(
+                std::ptr::eq(patched.events().as_ptr(), patched.events().as_ptr()),
+                "a read of the patched log copied it (inject_at {inject_at})"
+            );
+        }
     }
 
     #[test]

@@ -237,15 +237,21 @@ pub fn campus(cfg: &CampusConfig) -> Campus {
             t_churn + cfg.update_churn_rounds as u64 * 100 < T_GOOD,
             "update churn would spill into the probe window"
         );
+        // Appended in due order (all withdrawals of a round, then all
+        // re-issues), so the log stays sorted and reads borrow it.
         for round in 0..cfg.update_churn_rounds {
             let t_del = t_churn + round as u64 * 100;
             let t_re = t_del + 50;
             for e in &churn_entries {
                 exec.log.delete(t_del, ctl.clone(), e.clone());
-                exec.log.insert(t_re, ctl.clone(), e.clone());
             }
             for (n, p) in &churn_packets {
                 exec.log.delete(t_del, n.clone(), p.clone());
+            }
+            for e in &churn_entries {
+                exec.log.insert(t_re, ctl.clone(), e.clone());
+            }
+            for (n, p) in &churn_packets {
                 exec.log.insert(t_re, n.clone(), p.clone());
             }
         }

@@ -153,11 +153,11 @@ pub fn check_scenario(sc: &SimScenario) -> BatteryReport {
         let graph_violations = well_formedness_violations(r.graph());
         let mut deliv: BTreeMap<i64, BTreeSet<String>> = BTreeMap::new();
         for v in r.graph().vertices() {
-            if matches!(v.kind, dp_provenance::VertexKind::Appear)
-                && v.tuple.table.as_str() == "deliver"
+            if matches!(v.kind(), dp_provenance::VertexKind::Appear)
+                && v.tuple().table.as_str() == "deliver"
             {
-                if let Ok(pid) = v.tuple.args[0].as_int() {
-                    deliv.entry(pid).or_default().insert(v.node.to_string());
+                if let Ok(pid) = v.tuple().args[0].as_int() {
+                    deliv.entry(pid).or_default().insert(v.node().to_string());
                 }
             }
         }
